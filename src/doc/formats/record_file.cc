@@ -36,14 +36,6 @@ void PutU64(uint8_t* buf, size_t offset, uint64_t v) {
   std::memcpy(buf + offset, &v, sizeof(v));
 }
 
-uint64_t Fnv1aAccumulate(uint64_t hash, const uint8_t* data, size_t size) {
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
 /// Full pread (retries short reads). False on error or EOF-short result.
 bool PreadAll(int fd, void* out, size_t size, uint64_t offset) {
   uint8_t* dst = static_cast<uint8_t*>(out);
@@ -63,10 +55,6 @@ bool FailOpen(std::string* error, const std::string& reason) {
 }
 
 }  // namespace
-
-uint64_t RecordFnv1a(const uint8_t* data, size_t size) {
-  return Fnv1aAccumulate(0xcbf29ce484222325ULL, data, size);
-}
 
 // ------------------------------------------------------------- writer --
 
@@ -130,10 +118,8 @@ bool RecordFileWriter::Append(std::string_view payload) {
   if (!payload.empty() && !WriteRaw(payload.data(), payload.size())) {
     return false;
   }
-  checksum_ = Fnv1aAccumulate(checksum_, prefix, sizeof(prefix));
-  checksum_ = Fnv1aAccumulate(
-      checksum_, reinterpret_cast<const uint8_t*>(payload.data()),
-      payload.size());
+  checksum_ = Fnv1a64(prefix, sizeof(prefix), checksum_);
+  checksum_ = Fnv1a64(payload.data(), payload.size(), checksum_);
   return true;
 }
 
@@ -148,7 +134,7 @@ bool RecordFileWriter::Finish() {
     const uint8_t* index_bytes =
         reinterpret_cast<const uint8_t*>(offsets_.data());
     if (!WriteRaw(index_bytes, index_size)) return false;
-    checksum_ = Fnv1aAccumulate(checksum_, index_bytes, index_size);
+    checksum_ = Fnv1a64(index_bytes, index_size, checksum_);
   }
 
   uint8_t header[kRecordHeaderSize] = {0};
@@ -262,7 +248,7 @@ std::unique_ptr<RecordFileReader> RecordFileReader::Open(
   // trusted.
   {
     std::vector<uint8_t> chunk(kChecksumChunk);
-    uint64_t hash = 0xcbf29ce484222325ULL;
+    uint64_t hash = kFnv1a64Basis;
     uint64_t pos = kRecordHeaderSize;
     while (pos < size) {
       const size_t want =
@@ -270,7 +256,7 @@ std::unique_ptr<RecordFileReader> RecordFileReader::Open(
       if (!PreadAll(fd, chunk.data(), want, pos)) {
         return fail(path + ": short read while verifying checksum");
       }
-      hash = Fnv1aAccumulate(hash, chunk.data(), want);
+      hash = Fnv1a64(chunk.data(), want, hash);
       pos += want;
     }
     if (hash != checksum) {

@@ -7,6 +7,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/hash.h"
+
 namespace fieldswap {
 namespace doc {
 namespace formats {
@@ -48,10 +50,6 @@ inline constexpr uint32_t kRecordMagic = 0x52435346;  // 'FSCR'
 inline constexpr uint32_t kRecordFormatVersion = 1;
 inline constexpr size_t kRecordHeaderSize = 64;
 
-/// FNV-1a 64-bit over a byte span, exposed for tests that corrupt files
-/// and assert rejection. Matches serve/flat's checksum primitive.
-uint64_t RecordFnv1a(const uint8_t* data, size_t size);
-
 /// Streams records into `<path>.tmp`; Finish() lands the file atomically.
 class RecordFileWriter {
  public:
@@ -90,7 +88,7 @@ class RecordFileWriter {
   std::string tmp_path_;
   int fd_ = -1;
   uint64_t cursor_ = kRecordHeaderSize;  // next write position
-  uint64_t checksum_ = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
+  uint64_t checksum_ = kFnv1a64Basis;
   std::vector<uint64_t> offsets_;
   std::string error_;
   bool finished_ = false;

@@ -17,7 +17,6 @@ bool SetKernelBackend(const std::string& name) {
 std::vector<std::string> AvailableKernelBackends() {
   std::vector<std::string> names;
   if (const Kernels* avx2 = Avx2Kernels()) names.push_back(avx2->name);
-  if (const Kernels* neon = NeonKernels()) names.push_back(neon->name);
   names.push_back(ScalarKernels().name);
   return names;
 }

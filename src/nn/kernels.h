@@ -7,12 +7,12 @@
 /// Public control surface of the nn kernel backend layer (src/nn/kernels/).
 ///
 /// Every Matrix/ops entry point dispatches through one runtime-selected
-/// backend: the scalar reference, AVX2+FMA where compiled in and supported
-/// by the CPU, or NEON on ARM. Selection happens once, from the
-/// FIELDSWAP_KERNEL_BACKEND environment variable ("scalar", "avx2", "neon";
-/// unset or "auto" picks the best available), and can be overridden
-/// programmatically here — tests pin "scalar" for golden reproducibility,
-/// benches sweep every available backend.
+/// backend: the scalar reference, or AVX2+FMA where compiled in and
+/// supported by the CPU (other CPUs run the scalar reference). Selection
+/// happens once, from the FIELDSWAP_KERNEL_BACKEND environment variable
+/// ("scalar", "avx2"; unset or "auto" picks the best available), and can be
+/// overridden programmatically here — tests pin "scalar" for golden
+/// reproducibility, benches sweep every available backend.
 ///
 /// Determinism contract: outputs are bit-identical across thread counts
 /// and batch sizes *within* a backend. Backends may differ from each other
@@ -22,7 +22,7 @@
 namespace fieldswap {
 namespace nn {
 
-/// Name of the active backend ("scalar", "avx2", "neon"). Resolves the
+/// Name of the active backend ("scalar", "avx2"). Resolves the
 /// backend on first use.
 std::string KernelBackendName();
 

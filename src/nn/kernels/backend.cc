@@ -19,7 +19,6 @@ std::atomic<const Kernels*> g_active{nullptr};
 
 const Kernels* BestAvailable() {
   if (const Kernels* avx2 = Avx2Kernels()) return avx2;
-  if (const Kernels* neon = NeonKernels()) return neon;
   return &ScalarKernels();
 }
 
@@ -43,7 +42,6 @@ const Kernels* ResolveBackendName(const std::string& name) {
   if (name.empty() || name == "auto") return BestAvailable();
   if (name == "scalar") return &ScalarKernels();
   if (name == "avx2") return Avx2Kernels();
-  if (name == "neon") return NeonKernels();
   return nullptr;
 }
 

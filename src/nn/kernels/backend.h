@@ -75,9 +75,6 @@ const Kernels& ScalarKernels();
 /// running CPU.
 const Kernels* Avx2Kernels();
 
-/// NEON backend, or null when not compiled in.
-const Kernels* NeonKernels();
-
 /// Maps a backend name to its table, or null when the name is unknown or
 /// the backend is unavailable on this build/CPU. ""/"auto" resolve to the
 /// best available backend (never null).
@@ -87,7 +84,7 @@ const Kernels* ResolveBackendName(const std::string& name);
 void SetActiveKernels(const Kernels* kernels);
 
 /// The active backend: resolved once from FIELDSWAP_KERNEL_BACKEND
-/// ("scalar", "avx2", "neon", or "auto"/unset = best available), overridable
+/// ("scalar", "avx2", or "auto"/unset = best available), overridable
 /// via nn/kernels.h SetKernelBackend. An env value naming an unavailable
 /// backend aborts with an actionable message rather than silently falling
 /// back — a serving fleet that thinks it runs AVX2 must not quietly run

@@ -24,8 +24,8 @@ struct HeldLock {
 thread_local std::vector<HeldLock> t_held;
 
 /// A directed acquisition-order edge with the chain that first produced
-/// it, e.g. "ExtractionServer::mu_ -> ModelCache::mu_ (thread held
-/// ExtractionServer::mu_, then acquired ModelCache::mu_)".
+/// it, e.g. "MultiTenantServer::mu_ -> ModelCache::mu_ (thread held
+/// MultiTenantServer::mu_, then acquired ModelCache::mu_)".
 struct EdgeWitness {
   std::string chain;
 };

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <fstream>
 
+#include "util/hash.h"
 #include "util/logging.h"
 
 namespace fieldswap {
@@ -105,15 +106,6 @@ size_t DTypeSize(DType dtype) {
   return 0;
 }
 
-uint64_t Fnv1a(const uint8_t* data, size_t size) {
-  uint64_t hash = 1469598103934665603ULL;
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
 void FlatWriter::AddF32(const std::string& name, const float* values,
                         int rows, int cols) {
   FS_CHECK(values != nullptr || rows * cols == 0);
@@ -188,8 +180,7 @@ bool FlatWriter::Write(const std::string& path, std::string* error) const {
   PutU64(buf, kOffDirCount, entries_.size());
   PutU64(buf, kOffPayloadOffset, payload_base);
   PutU64(buf, kOffChecksum,
-         Fnv1a(reinterpret_cast<const uint8_t*>(buf.data()) + kHeaderSize,
-               buf.size() - kHeaderSize));
+         Fnv1a64(buf.data() + kHeaderSize, buf.size() - kHeaderSize));
 
   const std::string tmp = path + ".tmp";
   {
@@ -270,7 +261,7 @@ std::shared_ptr<const FlatFile> FlatFile::Map(const std::string& path,
                 " bytes but the file has " + std::to_string(size));
   }
   if (verify_checksum &&
-      Fnv1a(base + kHeaderSize, size - kHeaderSize) != checksum) {
+      Fnv1a64(base + kHeaderSize, size - kHeaderSize) != checksum) {
     return fail(path + ": checksum mismatch (corrupted or torn file)");
   }
   if (meta_size > size || meta_offset < kHeaderSize ||

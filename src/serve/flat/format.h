@@ -141,10 +141,6 @@ class FlatFile {
   std::vector<FlatTensor> tensors_;
 };
 
-/// FNV-1a 64-bit over a byte span — the format's checksum primitive,
-/// exposed for tests that corrupt files and assert rejection.
-uint64_t Fnv1a(const uint8_t* data, size_t size);
-
 }  // namespace flat
 }  // namespace serve
 }  // namespace fieldswap

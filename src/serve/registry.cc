@@ -37,6 +37,24 @@ uint64_t ModelRegistry::Publish(const std::string& tenant,
   return state.lineage.back().version;
 }
 
+uint64_t ModelRegistry::Replace(const std::string& tenant,
+                                std::shared_ptr<const ModelSnapshot> snapshot) {
+  FS_CHECK(snapshot != nullptr)
+      << "ModelRegistry::Replace(" << tenant << ") needs a snapshot";
+  // Retired snapshots are released after the lock is dropped: the last
+  // reference may free a whole model or unmap a flat file.
+  std::vector<PublishedVersion> retired;
+  std::lock_guard<util::OrderedMutex> lock(mu_);
+  TenantState& state = tenants_[tenant];
+  retired.swap(state.lineage);
+  PublishedVersion entry;
+  entry.version = state.next_version++;
+  entry.snapshot = std::move(snapshot);
+  state.lineage.push_back(std::move(entry));
+  state.active_index = 0;
+  return state.lineage.back().version;
+}
+
 bool ModelRegistry::Rollback(const std::string& tenant, uint64_t version) {
   std::lock_guard<util::OrderedMutex> lock(mu_);
   auto it = tenants_.find(tenant);

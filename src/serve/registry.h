@@ -48,10 +48,11 @@ struct PublishedVersion {
 /// formed after serves the new one, and no batch ever sees a half-updated
 /// tenant.
 ///
-/// Lineage is append-only: Rollback moves the tenant's *active* cursor to
-/// an earlier version but deletes nothing, so a later Rollback (or just
-/// Lineage()) can still see every snapshot ever published and a
-/// re-publish after rollback continues the monotonic numbering.
+/// Publish and Rollback keep the lineage append-only: Rollback moves the
+/// tenant's *active* cursor to an earlier version but deletes nothing, so a
+/// later Rollback (or just Lineage()) can still see every snapshot ever
+/// published and a re-publish after rollback continues the monotonic
+/// numbering. Replace is the one call that drops a lineage.
 ///
 /// Thread-safe; every method is one short critical section. Snapshots are
 /// shared_ptr<const>, so readers hold them safely across any concurrent
@@ -66,6 +67,13 @@ class ModelRegistry {
   /// the assigned (monotonic, per-tenant) version number. First publish
   /// creates the tenant with default quotas.
   uint64_t Publish(const std::string& tenant,
+                   std::shared_ptr<const ModelSnapshot> snapshot);
+
+  /// Publishes `snapshot` as the tenant's only version, dropping its
+  /// lineage, so the registry holds no retired snapshot alive; numbering
+  /// continues. This is ExtractionServer::SwapSnapshot, which has no
+  /// rollback to keep versions for. Records no metric.
+  uint64_t Replace(const std::string& tenant,
                    std::shared_ptr<const ModelSnapshot> snapshot);
 
   /// Atomically re-activates an earlier version. Returns false (and

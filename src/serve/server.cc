@@ -1,14 +1,13 @@
 #include "serve/server.h"
 
-#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <string>
 #include <utility>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
-#include "par/parallel.h"
+#include "serve/registry.h"
+#include "serve/tenant_server.h"
 #include "util/hash.h"
 #include "util/logging.h"
 
@@ -17,9 +16,16 @@ namespace serve {
 
 namespace {
 
-const std::vector<double>& BatchSizeBounds() {
-  static const std::vector<double> bounds = {1, 2, 4, 8, 16, 32, 64, 128};
-  return bounds;
+// The one tenant of an ExtractionServer's private registry. Unnamed, so
+// responses carry an empty tenant.
+const char kTenant[] = "";
+
+void CheckInt8Plan(const ServeOptions& options, const ModelSnapshot& snapshot,
+                   const char* role) {
+  FS_CHECK(!options.int8_inference || snapshot.int8_plan() != nullptr)
+      << "ServeOptions.int8_inference is set but " << role << "snapshot '"
+      << snapshot.version()
+      << "' has no int8 plan; build it with with_int8_plan=true";
 }
 
 void AppendU64(std::string& buffer, uint64_t value) {
@@ -52,6 +58,8 @@ const char* ServeStatusName(ServeStatus status) {
       return "rejected_quota";
     case ServeStatus::kRejectedUnknownTenant:
       return "rejected_unknown_tenant";
+    case ServeStatus::kInternalError:
+      return "internal_error";
   }
   return "unknown";
 }
@@ -109,290 +117,66 @@ uint64_t DocContentHash(const Document& doc) {
 }
 
 ExtractionServer::ExtractionServer(
-    std::shared_ptr<const ModelSnapshot> snapshot, ServeOptions options)
-    : options_(std::move(options)),
-      snapshot_(std::move(snapshot)),
-      encoded_cache_(static_cast<size_t>(
-          options_.encoded_cache_capacity > 0 ? options_.encoded_cache_capacity
-                                              : 0)),
-      result_cache_(static_cast<size_t>(
-          options_.result_cache_capacity > 0 ? options_.result_cache_capacity
-                                             : 0)) {
-  FS_CHECK(snapshot_ != nullptr) << "ExtractionServer needs a model snapshot";
-  std::string error = options_.Validate();
+    std::shared_ptr<const ModelSnapshot> snapshot, ServeOptions options) {
+  FS_CHECK(snapshot != nullptr) << "ExtractionServer needs a model snapshot";
+  std::string error = options.Validate();
   FS_CHECK(error.empty()) << error;
-  FS_CHECK(!options_.int8_inference || snapshot_->int8_plan() != nullptr)
-      << "ServeOptions.int8_inference is set but snapshot '"
-      << snapshot_->version()
-      << "' has no int8 plan; build it with with_int8_plan=true";
-  obs::CounterAdd("fieldswap.serve.servers_started");
+  CheckInt8Plan(options, *snapshot, "");
+  auto registry = std::make_shared<ModelRegistry>();
+  TenantQuota quota;
+  quota.queue_capacity = options.queue_capacity;
+  // A lone tenant's turn drains min(quantum, max_batch) documents; a
+  // quantum of max_batch makes every batch a FIFO drain of up to max_batch.
+  quota.batch_quantum = options.max_batch;
+  registry->SetQuota(kTenant, quota);
+  registry->Replace(kTenant, std::move(snapshot));
+  engine_.reset(new MultiTenantServer(std::move(registry), std::move(options),
+                                      /*single_tenant=*/true));
 }
 
-double ExtractionServer::NowMs() const {
-  if (options_.clock_ms) return options_.clock_ms();
-  return uptime_.ElapsedMs();
-}
-
-ExtractResponse ExtractionServer::Reject(ServeStatus status,
-                                         const Document& doc,
-                                         std::string error) const {
-  ExtractResponse response;
-  response.status = status;
-  response.doc_id = doc.id();
-  response.error = std::move(error);
-  obs::CounterAdd(std::string("fieldswap.serve.") + ServeStatusName(status));
-  return response;
-}
+ExtractionServer::~ExtractionServer() = default;
 
 int64_t ExtractionServer::Submit(const Document& doc, double deadline_ms) {
-  obs::Stopwatch admission_timer;
-  // Sample the clock before locking: options_.clock_ms is user-supplied
-  // and must never run under mu_ (fslint no-lock-across-callback).
-  const double now_ms = NowMs();
-  std::lock_guard<util::OrderedMutex> lock(mu_);
-  int64_t id = next_id_++;
-  if (shutdown_) {
-    ExtractResponse response =
-        Reject(ServeStatus::kRejectedShutdown, doc, "server is shut down");
-    response.snapshot_version = snapshot_->version();
-    done_[id] = std::move(response);
-    return id;
-  }
-  if (queue_.size() >= static_cast<size_t>(options_.queue_capacity)) {
-    ExtractResponse response = Reject(
-        ServeStatus::kRejectedQueueFull, doc,
-        "admission queue full (capacity " +
-            std::to_string(options_.queue_capacity) +
-            "); retry after draining or raise ServeOptions.queue_capacity");
-    response.snapshot_version = snapshot_->version();
-    done_[id] = std::move(response);
-    return id;
-  }
-  double effective_deadline =
-      deadline_ms < 0 ? options_.default_deadline_ms : deadline_ms;
-  PendingRequest request;
-  request.id = id;
-  request.doc = doc;
-  request.submit_ms = now_ms;
-  request.deadline_at_ms =
-      effective_deadline > 0 ? request.submit_ms + effective_deadline : 0;
-  queue_.push_back(std::move(request));
-  obs::CounterAdd("fieldswap.serve.requests");
-  obs::GaugeSet("fieldswap.serve.queue_depth",
-                static_cast<double>(queue_.size()));
-  obs::HistogramObserve("fieldswap.serve.stage.admission_ms",
-                        admission_timer.ElapsedMs());
-  return id;
+  return engine_->Submit(kTenant, doc, deadline_ms);
 }
 
-void ExtractionServer::RunBatchLocked(
-    std::unique_lock<util::OrderedMutex>& lock) {
-  batch_in_flight_ = true;
-  std::shared_ptr<const ModelSnapshot> snapshot = snapshot_;
-  std::vector<PendingRequest> batch;
-  while (!queue_.empty() &&
-         batch.size() < static_cast<size_t>(options_.max_batch)) {
-    batch.push_back(std::move(queue_.front()));
-    queue_.pop_front();
-  }
-  obs::GaugeSet("fieldswap.serve.queue_depth",
-                static_cast<double>(queue_.size()));
-  lock.unlock();
-
-  std::vector<ExtractResponse> responses(batch.size());
-  {
-    FS_TRACE_SPAN("serve.batch");
-    obs::CounterAdd("fieldswap.serve.batches");
-    obs::HistogramObserve("fieldswap.serve.batch_size",
-                          static_cast<double>(batch.size()),
-                          BatchSizeBounds());
-    double now = NowMs();
-    // Per-stage breakdown so the profiler/comparator can attribute serve
-    // latency: time spent queued (per request), then encode and predict
-    // stage durations (per batch) below.
-    for (const PendingRequest& request : batch) {
-      obs::HistogramObserve("fieldswap.serve.stage.queue_wait_ms",
-                            now - request.submit_ms);
-    }
-
-    // Admission-order triage: expired deadlines reject, result-cache hits
-    // complete immediately, the rest go to the model. All cache traffic is
-    // serial so hit/miss accounting and LRU order are deterministic for a
-    // fixed request order.
-    std::vector<size_t> live;
-    std::vector<uint64_t> keys(batch.size(), 0);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const PendingRequest& request = batch[i];
-      if (request.deadline_at_ms > 0 && now > request.deadline_at_ms) {
-        responses[i] = Reject(
-            ServeStatus::kRejectedDeadline, request.doc,
-            "deadline expired before batching; extend the deadline or "
-            "reduce load");
-        responses[i].snapshot_version = snapshot->version();
-        continue;
-      }
-      keys[i] =
-          SnapshotCacheKey(DocContentHash(request.doc), snapshot->sequence());
-      std::shared_ptr<const std::vector<EntitySpan>> cached =
-          result_cache_.Get(keys[i]);
-      if (cached != nullptr) {
-        obs::CounterAdd("fieldswap.serve.result_cache_hits");
-        responses[i].status = ServeStatus::kOk;
-        responses[i].spans = *cached;
-        responses[i].snapshot_version = snapshot->version();
-        responses[i].doc_id = request.doc.id();
-        responses[i].cache_hit = true;
-        responses[i].encoded_cache_hit = true;
-        continue;
-      }
-      obs::CounterAdd("fieldswap.serve.result_cache_misses");
-      live.push_back(i);
-    }
-
-    // Encoded-doc cache: serial lookups, parallel encode of the misses,
-    // serial inserts in admission order.
-    std::vector<std::shared_ptr<const EncodedDoc>> encoded(live.size());
-    std::vector<size_t> to_encode;
-    for (size_t j = 0; j < live.size(); ++j) {
-      encoded[j] = encoded_cache_.Get(keys[live[j]]);
-      if (encoded[j] == nullptr) {
-        obs::CounterAdd("fieldswap.serve.encoded_cache_misses");
-        to_encode.push_back(j);
-      } else {
-        obs::CounterAdd("fieldswap.serve.encoded_cache_hits");
-        responses[live[j]].encoded_cache_hit = true;
-      }
-    }
-    if (!to_encode.empty()) {
-      FS_TRACE_SPAN("serve.encode");
-      obs::Stopwatch encode_timer;
-      std::vector<std::shared_ptr<const EncodedDoc>> fresh =
-          par::ParallelMap(to_encode.size(), [&](size_t k) {
-            const Document& doc = batch[live[to_encode[k]]].doc;
-            return std::make_shared<const EncodedDoc>(
-                snapshot->model().EncodeDoc(doc));
-          });
-      for (size_t k = 0; k < to_encode.size(); ++k) {
-        encoded[to_encode[k]] = fresh[k];
-        encoded_cache_.Put(keys[live[to_encode[k]]], fresh[k]);
-      }
-      obs::HistogramObserve("fieldswap.serve.stage.encode_ms",
-                            encode_timer.ElapsedMs());
-    }
-
-    if (!live.empty()) {
-      FS_TRACE_SPAN("serve.predict");
-      obs::Stopwatch predict_timer;
-      std::vector<std::vector<EntitySpan>> predictions =
-          par::ParallelMap(live.size(), [&](size_t j) {
-            return snapshot->PredictEncoded(*encoded[j],
-                                            options_.int8_inference);
-          });
-      for (size_t j = 0; j < live.size(); ++j) {
-        size_t i = live[j];
-        auto shared = std::make_shared<const std::vector<EntitySpan>>(
-            std::move(predictions[j]));
-        result_cache_.Put(keys[i], shared);
-        responses[i].status = ServeStatus::kOk;
-        responses[i].spans = *shared;
-        responses[i].snapshot_version = snapshot->version();
-        responses[i].doc_id = batch[i].doc.id();
-      }
-      obs::HistogramObserve("fieldswap.serve.stage.predict_ms",
-                            predict_timer.ElapsedMs());
-    }
-
-    double end = NowMs();
-    for (size_t i = 0; i < batch.size(); ++i) {
-      responses[i].latency_ms = end - batch[i].submit_ms;
-      obs::HistogramObserve("fieldswap.serve.latency_ms",
-                            responses[i].latency_ms);
-    }
-  }
-
-  lock.lock();
-  for (size_t i = 0; i < batch.size(); ++i) {
-    done_[batch[i].id] = std::move(responses[i]);
-  }
-  batch_in_flight_ = false;
-  cv_.notify_all();
-}
-
-ExtractResponse ExtractionServer::Wait(int64_t id) {
-  std::unique_lock<util::OrderedMutex> lock(mu_);
-  for (;;) {
-    auto it = done_.find(id);
-    if (it != done_.end()) {
-      ExtractResponse response = std::move(it->second);
-      done_.erase(it);
-      return response;
-    }
-    if (!batch_in_flight_ && !queue_.empty()) {
-      // Leader: drain one batch, then re-check (our request may have been
-      // in it, or still be queued behind max_batch others).
-      RunBatchLocked(lock);
-      continue;
-    }
-    cv_.wait(lock);
-  }
-}
+ExtractResponse ExtractionServer::Wait(int64_t id) { return engine_->Wait(id); }
 
 ExtractResponse ExtractionServer::Extract(const Document& doc,
                                           double deadline_ms) {
-  return Wait(Submit(doc, deadline_ms));
+  return engine_->Extract(kTenant, doc, deadline_ms);
 }
 
 std::vector<ExtractResponse> ExtractionServer::ExtractBatch(
     const std::vector<Document>& docs) {
-  std::vector<ExtractResponse> responses(docs.size());
-  size_t window = static_cast<size_t>(options_.queue_capacity);
-  for (size_t start = 0; start < docs.size(); start += window) {
-    size_t end = std::min(docs.size(), start + window);
-    std::vector<int64_t> ids;
-    ids.reserve(end - start);
-    for (size_t i = start; i < end; ++i) ids.push_back(Submit(docs[i]));
-    for (size_t i = start; i < end; ++i) responses[i] = Wait(ids[i - start]);
-  }
-  return responses;
+  return engine_->ExtractBatch(kTenant, docs);
 }
 
 void ExtractionServer::SwapSnapshot(
     std::shared_ptr<const ModelSnapshot> snapshot) {
   FS_CHECK(snapshot != nullptr) << "SwapSnapshot needs a model snapshot";
-  FS_CHECK(!options_.int8_inference || snapshot->int8_plan() != nullptr)
-      << "ServeOptions.int8_inference is set but swapped-in snapshot '"
-      << snapshot->version()
-      << "' has no int8 plan; build it with with_int8_plan=true";
-  std::lock_guard<util::OrderedMutex> lock(mu_);
-  snapshot_ = std::move(snapshot);
+  CheckInt8Plan(engine_->options(), *snapshot, "swapped-in ");
+  engine_->registry()->Replace(kTenant, std::move(snapshot));
   obs::CounterAdd("fieldswap.serve.snapshot_swaps");
 }
 
 std::shared_ptr<const ModelSnapshot> ExtractionServer::snapshot() const {
-  std::lock_guard<util::OrderedMutex> lock(mu_);
-  return snapshot_;
+  return engine_->registry()->Active(kTenant);
 }
 
-void ExtractionServer::Shutdown() {
-  std::lock_guard<util::OrderedMutex> lock(mu_);
-  if (shutdown_) return;
-  shutdown_ = true;
-  while (!queue_.empty()) {
-    PendingRequest request = std::move(queue_.front());
-    queue_.pop_front();
-    ExtractResponse response =
-        Reject(ServeStatus::kRejectedShutdown, request.doc,
-               "server shut down while the request was queued");
-    response.snapshot_version = snapshot_->version();
-    done_[request.id] = std::move(response);
-  }
-  obs::GaugeSet("fieldswap.serve.queue_depth", 0);
-  cv_.notify_all();
-}
+void ExtractionServer::Shutdown() { engine_->Shutdown(); }
 
 int ExtractionServer::queue_depth() const {
-  std::lock_guard<util::OrderedMutex> lock(mu_);
-  return static_cast<int>(queue_.size());
+  return engine_->queue_depth(kTenant);
+}
+
+const EncodedDocCache& ExtractionServer::encoded_cache() const {
+  return engine_->encoded_cache();
+}
+
+const LruCache<std::vector<EntitySpan>>& ExtractionServer::result_cache()
+    const {
+  return engine_->result_cache();
 }
 
 }  // namespace serve

@@ -1,22 +1,15 @@
 #ifndef FIELDSWAP_SERVE_SERVER_H_
 #define FIELDSWAP_SERVE_SERVER_H_
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "doc/document.h"
-#include "obs/timing.h"
-#include "par/lock_validator.h"
 #include "serve/cache.h"
 #include "serve/snapshot.h"
-#include "util/thread_annotations.h"
 
 namespace fieldswap {
 namespace serve {
@@ -39,6 +32,10 @@ enum class ServeStatus {
   /// The request named a tenant the registry has never published a model
   /// for (serve/registry.h).
   kRejectedUnknownTenant,
+  /// The batch serving the request threw; `error` holds the exception
+  /// text. Every request of that batch gets this response, and the server
+  /// keeps serving. Must stay the last status.
+  kInternalError,
 };
 
 /// Human-readable name of a status ("ok", "rejected_queue_full", ...).
@@ -63,10 +60,12 @@ struct ExtractResponse {
   double latency_ms = 0;
   /// Actionable description for rejected requests, empty on kOk.
   std::string error;
-  /// Multi-tenant serving only (serve/tenant_server.h); empty/0 on the
-  /// single-tenant ExtractionServer.
+  /// The tenant that submitted the request. The single-tenant
+  /// ExtractionServer serves one unnamed tenant, so it is empty there.
   std::string tenant;
-  /// Registry version of the tenant snapshot that served the request.
+  /// Registry version of the tenant snapshot that served the request. On
+  /// the ExtractionServer it counts the snapshot and its SwapSnapshots
+  /// (1, 2, ...).
   uint64_t tenant_version = 0;
   /// Whole batches that ran between this request's admission and the batch
   /// that served it. Unlike latency_ms this is a *deterministic* fairness
@@ -75,14 +74,17 @@ struct ExtractResponse {
   int64_t batches_waited = 0;
 };
 
-/// Configuration of an ExtractionServer. All knobs have serving-friendly
-/// defaults; Validate() catches nonsensical combinations with an actionable
-/// message before the server accepts traffic.
+/// Configuration of an ExtractionServer or a MultiTenantServer. All knobs
+/// have serving-friendly defaults; Validate() catches nonsensical
+/// combinations with an actionable message before the server accepts
+/// traffic.
 struct ServeOptions {
   /// Most documents coalesced into one encode/predict batch.
   int max_batch = 16;
-  /// Admission queue capacity. A submit finding the queue full is rejected
-  /// with kRejectedQueueFull rather than blocking.
+  /// The single-tenant ExtractionServer's admission quota: a submit finding
+  /// that many requests queued is rejected with kRejectedQueueFull rather
+  /// than blocking. MultiTenantServer does not read it; each of its tenants
+  /// has its own TenantQuota.queue_capacity.
   int queue_capacity = 64;
   /// LRU capacity (entries) of the encoded-document cache; 0 disables.
   int encoded_cache_capacity = 256;
@@ -117,15 +119,18 @@ uint64_t DocContentHash(const Document& doc);
 /// backbone snapshot (serve/tenant_server.h) share cache entries.
 uint64_t SnapshotCacheKey(uint64_t content_hash, uint64_t snapshot_sequence);
 
-/// Batched, deterministic extraction service.
+class MultiTenantServer;
+
+/// Batched, deterministic extraction service for one model.
 ///
-/// Requests enter a bounded admission queue (Submit) and are coalesced into
-/// batches of at most `max_batch` documents in admission order. There is no
-/// dedicated server thread — creating raw threads outside src/par is banned
-/// — so batching is leader/follower: the first waiter that finds work and
-/// no batch in flight becomes the leader, drains a batch, and executes it
-/// on the shared par pool; other waiters block on a condvar until their
-/// response is published.
+/// A front end over the multi-tenant engine (serve/tenant_server.h): the
+/// server owns a private ModelRegistry holding one unnamed tenant, whose
+/// admission quota is options.queue_capacity and whose DRR quantum is
+/// options.max_batch, so each batch drains up to `max_batch` documents in
+/// admission order. There is no dedicated server thread; waiters lead
+/// batches (leader/follower, see MultiTenantServer). Metrics use the
+/// `fieldswap.serve.` family and a full queue is reported as
+/// kRejectedQueueFull.
 ///
 /// Each response is a pure function of (snapshot, document content, the
 /// int8_inference flag), so results are bit-identical to calling
@@ -137,12 +142,14 @@ uint64_t SnapshotCacheKey(uint64_t content_hash, uint64_t snapshot_sequence);
 ///
 /// The model snapshot is hot-swappable: SwapSnapshot atomically replaces
 /// the pointer; in-flight batches finish on the snapshot they started with,
-/// later batches use the replacement. Cache keys include the snapshot
-/// sequence, so a swap can never serve stale entries.
+/// later batches use the replacement, and nothing else keeps the retired
+/// snapshot alive. Cache keys include the snapshot sequence, so a swap can
+/// never serve stale entries.
 class ExtractionServer {
  public:
   ExtractionServer(std::shared_ptr<const ModelSnapshot> snapshot,
                    ServeOptions options = {});
+  ~ExtractionServer();
 
   ExtractionServer(const ExtractionServer&) = delete;
   ExtractionServer& operator=(const ExtractionServer&) = delete;
@@ -152,13 +159,13 @@ class ExtractionServer {
   /// `deadline_ms` overrides options.default_deadline_ms for this request;
   /// 0 = no deadline, negative = use the default. Returns a ticket for
   /// Wait().
-  int64_t Submit(const Document& doc, double deadline_ms = -1)
-      FS_EXCLUDES(mu_);
+  int64_t Submit(const Document& doc, double deadline_ms = -1);
 
   /// Blocks until the request's response is available and returns it
   /// (each ticket can be claimed once). Callers waiting here collectively
-  /// drive the batcher; see the class comment.
-  ExtractResponse Wait(int64_t id) FS_EXCLUDES(mu_);
+  /// drive the batcher; see the class comment. FS_CHECK-fails on a ticket
+  /// this server never issued.
+  ExtractResponse Wait(int64_t id);
 
   /// Submit + Wait for a single document.
   ExtractResponse Extract(const Document& doc, double deadline_ms = -1);
@@ -177,46 +184,16 @@ class ExtractionServer {
 
   /// Rejects all queued requests with kRejectedShutdown, wakes all waiters,
   /// and makes further Submits fail fast. Idempotent.
-  void Shutdown() FS_EXCLUDES(mu_);
+  void Shutdown();
 
   /// Requests admitted but not yet picked up by a batch.
   int queue_depth() const;
 
-  const EncodedDocCache& encoded_cache() const { return encoded_cache_; }
-  const LruCache<std::vector<EntitySpan>>& result_cache() const {
-    return result_cache_;
-  }
+  const EncodedDocCache& encoded_cache() const;
+  const LruCache<std::vector<EntitySpan>>& result_cache() const;
 
  private:
-  struct PendingRequest {
-    int64_t id = 0;
-    Document doc;
-    double submit_ms = 0;
-    double deadline_at_ms = 0;  // absolute; 0 = no deadline
-  };
-
-  double NowMs() const;
-  ExtractResponse Reject(ServeStatus status, const Document& doc,
-                         std::string error) const;
-  /// Leader path: drains one batch and publishes its responses. Expects
-  /// `lock` held on entry; temporarily releases it around model work.
-  void RunBatchLocked(std::unique_lock<util::OrderedMutex>& lock)
-      FS_REQUIRES(mu_);
-
-  ServeOptions options_;
-  obs::Stopwatch uptime_;
-
-  mutable util::OrderedMutex mu_{"ExtractionServer::mu_"};
-  std::condition_variable_any cv_;
-  std::shared_ptr<const ModelSnapshot> snapshot_ FS_GUARDED_BY(mu_);
-  std::deque<PendingRequest> queue_ FS_GUARDED_BY(mu_);
-  std::unordered_map<int64_t, ExtractResponse> done_ FS_GUARDED_BY(mu_);
-  int64_t next_id_ FS_GUARDED_BY(mu_) = 1;
-  bool batch_in_flight_ FS_GUARDED_BY(mu_) = false;
-  bool shutdown_ FS_GUARDED_BY(mu_) = false;
-
-  EncodedDocCache encoded_cache_;
-  LruCache<std::vector<EntitySpan>> result_cache_;
+  std::unique_ptr<MultiTenantServer> engine_;
 };
 
 }  // namespace serve

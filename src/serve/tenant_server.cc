@@ -1,6 +1,8 @@
 #include "serve/tenant_server.h"
 
 #include <algorithm>
+#include <exception>
+#include <optional>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -20,10 +22,42 @@ const std::vector<double>& BatchSizeBounds() {
 
 }  // namespace
 
+MultiTenantServer::FrontEnd::FrontEnd(bool single_tenant)
+    : single_tenant(single_tenant),
+      batch_span(single_tenant ? "serve.batch" : "serve.tenant_batch"),
+      encode_span(single_tenant ? "serve.encode" : "serve.tenant_encode"),
+      predict_span(single_tenant ? "serve.predict" : "serve.tenant_predict") {
+  const std::string prefix =
+      single_tenant ? "fieldswap.serve." : "fieldswap.serve.tenant.";
+  requests = prefix + "requests";
+  queue_depth = prefix + "queue_depth";
+  batches = prefix + "batches";
+  batch_size = prefix + "batch_size";
+  packed_docs = prefix + "packed_docs";
+  result_cache_hits = prefix + "result_cache_hits";
+  result_cache_misses = prefix + "result_cache_misses";
+  encoded_cache_hits = prefix + "encoded_cache_hits";
+  encoded_cache_misses = prefix + "encoded_cache_misses";
+  admission_ms = prefix + "stage.admission_ms";
+  queue_wait_ms = prefix + "stage.queue_wait_ms";
+  encode_ms = prefix + "stage.encode_ms";
+  predict_ms = prefix + "stage.predict_ms";
+  latency_ms = prefix + "latency_ms";
+  for (int s = 0; s <= static_cast<int>(ServeStatus::kInternalError); ++s) {
+    status.push_back(prefix + ServeStatusName(static_cast<ServeStatus>(s)));
+  }
+}
+
 MultiTenantServer::MultiTenantServer(std::shared_ptr<ModelRegistry> registry,
                                      ServeOptions options)
+    : MultiTenantServer(std::move(registry), std::move(options),
+                        /*single_tenant=*/false) {}
+
+MultiTenantServer::MultiTenantServer(std::shared_ptr<ModelRegistry> registry,
+                                     ServeOptions options, bool single_tenant)
     : registry_(std::move(registry)),
       options_(std::move(options)),
+      front_end_(single_tenant),
       encoded_cache_(static_cast<size_t>(
           options_.encoded_cache_capacity > 0 ? options_.encoded_cache_capacity
                                               : 0)),
@@ -33,7 +67,8 @@ MultiTenantServer::MultiTenantServer(std::shared_ptr<ModelRegistry> registry,
   FS_CHECK(registry_ != nullptr) << "MultiTenantServer needs a ModelRegistry";
   std::string error = options_.Validate();
   FS_CHECK(error.empty()) << error;
-  obs::CounterAdd("fieldswap.serve.tenant.servers_started");
+  obs::CounterAdd(single_tenant ? "fieldswap.serve.servers_started"
+                                : "fieldswap.serve.tenant.servers_started");
 }
 
 double MultiTenantServer::NowMs() const {
@@ -50,43 +85,61 @@ ExtractResponse MultiTenantServer::Reject(ServeStatus status,
   response.doc_id = doc.id();
   response.tenant = tenant;
   response.error = std::move(error);
-  obs::CounterAdd(std::string("fieldswap.serve.tenant.") +
-                  ServeStatusName(status));
+  obs::CounterAdd(front_end_.status[static_cast<size_t>(status)]);
   return response;
+}
+
+int64_t MultiTenantServer::RejectLocked(int64_t id, ServeStatus status,
+                                        const std::string& tenant,
+                                        const Document& doc,
+                                        std::string error) {
+  ExtractResponse response = Reject(status, tenant, doc, std::move(error));
+  const PublishedVersion active = registry_->ActiveEntry(tenant);
+  response.tenant_version = active.version;
+  if (active.snapshot != nullptr) {
+    response.snapshot_version = active.snapshot->version();
+  }
+  done_[id] = std::move(response);
+  return id;
 }
 
 int64_t MultiTenantServer::Submit(const std::string& tenant,
                                   const Document& doc, double deadline_ms) {
+  // Only the single-tenant front end records admission time; the
+  // multi-tenant hot path reads no timer here.
+  std::optional<obs::Stopwatch> admission_timer;
+  if (front_end_.single_tenant) admission_timer.emplace();
   // Sample the clock before locking: options_.clock_ms is user-supplied
   // and must never run under mu_ (fslint no-lock-across-callback).
   const double now_ms = NowMs();
   std::lock_guard<util::OrderedMutex> lock(mu_);
   int64_t id = next_id_++;
   if (shutdown_) {
-    done_[id] =
-        Reject(ServeStatus::kRejectedShutdown, tenant, doc,
-               "multi-tenant server is shut down");
-    return id;
+    return RejectLocked(id, ServeStatus::kRejectedShutdown, tenant, doc,
+                        "server is shut down");
   }
   if (!registry_->Has(tenant)) {
-    done_[id] = Reject(
-        ServeStatus::kRejectedUnknownTenant, tenant, doc,
+    return RejectLocked(
+        id, ServeStatus::kRejectedUnknownTenant, tenant, doc,
         "tenant '" + tenant +
             "' has no published model; publish one to the registry first");
-    return id;
   }
   TenantState& state = tenants_[tenant];
   const TenantQuota quota = registry_->Quota(tenant);
   if (state.queue.size() >= static_cast<size_t>(quota.queue_capacity)) {
     state.stats.rejected_quota++;
-    ExtractResponse response = Reject(
-        ServeStatus::kRejectedQuota, tenant, doc,
+    const std::string capacity = std::to_string(quota.queue_capacity);
+    if (front_end_.single_tenant) {
+      return RejectLocked(
+          id, ServeStatus::kRejectedQueueFull, tenant, doc,
+          "admission queue full (capacity " + capacity +
+              "); retry after draining or raise ServeOptions.queue_capacity");
+    }
+    return RejectLocked(
+        id, ServeStatus::kRejectedQuota, tenant, doc,
         "tenant '" + tenant + "' admission quota exhausted (capacity " +
-            std::to_string(quota.queue_capacity) +
+            capacity +
             "); drain pending requests or raise TenantQuota.queue_capacity");
-    response.tenant_version = registry_->ActiveVersion(tenant);
-    done_[id] = std::move(response);
-    return id;
   }
   double effective_deadline =
       deadline_ms < 0 ? options_.default_deadline_ms : deadline_ms;
@@ -100,9 +153,12 @@ int64_t MultiTenantServer::Submit(const std::string& tenant,
   state.queue.push_back(std::move(request));
   state.stats.submitted++;
   total_queued_++;
-  obs::CounterAdd("fieldswap.serve.tenant.requests");
-  obs::GaugeSet("fieldswap.serve.tenant.queue_depth",
-                static_cast<double>(total_queued_));
+  obs::CounterAdd(front_end_.requests);
+  obs::GaugeSet(front_end_.queue_depth, static_cast<double>(total_queued_));
+  if (admission_timer.has_value()) {
+    obs::HistogramObserve(front_end_.admission_ms,
+                          admission_timer->ElapsedMs());
+  }
   return id;
 }
 
@@ -168,7 +224,6 @@ void MultiTenantServer::RunBatchLocked(
   // backbone), in round-robin order after the turn tenant. Packed service
   // is a bonus — it charges no one's deficit and can only fill capacity
   // the turn tenant could not use, so it never delays anyone's turn.
-  int64_t packed = 0;
   if (batch.size() < static_cast<size_t>(options_.max_batch)) {
     auto scan = turn;
     for (size_t visited = 0; visited + 1 < tenants_.size(); ++visited) {
@@ -189,118 +244,36 @@ void MultiTenantServer::RunBatchLocked(
         be.packed = true;
         batch.push_back(std::move(be));
         other.stats.packed_docs++;
-        packed++;
       }
     }
   }
   total_queued_ -= batch.size();
-  obs::GaugeSet("fieldswap.serve.tenant.queue_depth",
-                static_cast<double>(total_queued_));
+  obs::GaugeSet(front_end_.queue_depth, static_cast<double>(total_queued_));
   const std::shared_ptr<const ModelSnapshot> snapshot = active.snapshot;
   lock.unlock();
 
-  std::vector<ExtractResponse> responses(batch.size());
-  {
-    FS_TRACE_SPAN("serve.tenant_batch");
-    obs::CounterAdd("fieldswap.serve.tenant.batches");
-    if (packed > 0) {
-      obs::CounterAdd("fieldswap.serve.tenant.packed_docs", packed);
-    }
-    obs::HistogramObserve("fieldswap.serve.tenant.batch_size",
-                          static_cast<double>(batch.size()),
-                          BatchSizeBounds());
-    double now = NowMs();
-
-    // Triage in batch order: expired deadlines reject, result-cache hits
-    // complete immediately, the rest go to the model. Serial cache traffic
-    // keeps hit accounting and LRU order deterministic for a fixed
-    // submission order.
-    std::vector<size_t> live;
-    std::vector<uint64_t> keys(batch.size(), 0);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      BatchEntry& entry = batch[i];
-      responses[i].tenant = entry.tenant;
-      responses[i].tenant_version = entry.tenant_version;
-      responses[i].batches_waited =
+  std::vector<ExtractResponse> responses;
+  std::optional<std::string> failure;
+  try {
+    responses = RunBatch(batch, *snapshot, batches_before);
+  } catch (const std::exception& error) {
+    failure = error.what();
+  } catch (...) {
+    failure = "unknown exception";
+  }
+  if (failure.has_value()) {
+    // Every request of a batch that threw still gets exactly one terminal
+    // response, and the server stays usable.
+    responses.clear();
+    for (const BatchEntry& entry : batch) {
+      ExtractResponse response =
+          Reject(ServeStatus::kInternalError, entry.tenant, entry.request.doc,
+                 "batch failed: " + *failure);
+      response.tenant_version = entry.tenant_version;
+      response.snapshot_version = snapshot->version();
+      response.batches_waited =
           batches_before - entry.request.batches_at_submit;
-      if (entry.request.deadline_at_ms > 0 &&
-          now > entry.request.deadline_at_ms) {
-        ExtractResponse reject = Reject(
-            ServeStatus::kRejectedDeadline, entry.tenant, entry.request.doc,
-            "deadline expired before batching; extend the deadline or "
-            "reduce load");
-        reject.tenant_version = responses[i].tenant_version;
-        reject.batches_waited = responses[i].batches_waited;
-        reject.snapshot_version = snapshot->version();
-        responses[i] = std::move(reject);
-        continue;
-      }
-      keys[i] = SnapshotCacheKey(DocContentHash(entry.request.doc),
-                                 snapshot->sequence());
-      std::shared_ptr<const std::vector<EntitySpan>> cached =
-          result_cache_.Get(keys[i]);
-      if (cached != nullptr) {
-        obs::CounterAdd("fieldswap.serve.tenant.result_cache_hits");
-        responses[i].status = ServeStatus::kOk;
-        responses[i].spans = *cached;
-        responses[i].snapshot_version = snapshot->version();
-        responses[i].doc_id = entry.request.doc.id();
-        responses[i].cache_hit = true;
-        responses[i].encoded_cache_hit = true;
-        continue;
-      }
-      obs::CounterAdd("fieldswap.serve.tenant.result_cache_misses");
-      live.push_back(i);
-    }
-
-    std::vector<std::shared_ptr<const EncodedDoc>> encoded(live.size());
-    std::vector<size_t> to_encode;
-    for (size_t j = 0; j < live.size(); ++j) {
-      encoded[j] = encoded_cache_.Get(keys[live[j]]);
-      if (encoded[j] == nullptr) {
-        to_encode.push_back(j);
-      } else {
-        responses[live[j]].encoded_cache_hit = true;
-      }
-    }
-    if (!to_encode.empty()) {
-      FS_TRACE_SPAN("serve.tenant_encode");
-      std::vector<std::shared_ptr<const EncodedDoc>> fresh =
-          par::ParallelMap(to_encode.size(), [&](size_t k) {
-            const Document& doc = batch[live[to_encode[k]]].request.doc;
-            return std::make_shared<const EncodedDoc>(
-                snapshot->model().EncodeDoc(doc));
-          });
-      for (size_t k = 0; k < to_encode.size(); ++k) {
-        encoded[to_encode[k]] = fresh[k];
-        encoded_cache_.Put(keys[live[to_encode[k]]], fresh[k]);
-      }
-    }
-
-    if (!live.empty()) {
-      FS_TRACE_SPAN("serve.tenant_predict");
-      std::vector<std::vector<EntitySpan>> predictions =
-          par::ParallelMap(live.size(), [&](size_t j) {
-            return snapshot->PredictEncoded(*encoded[j],
-                                            options_.int8_inference);
-          });
-      for (size_t j = 0; j < live.size(); ++j) {
-        size_t i = live[j];
-        auto shared = std::make_shared<const std::vector<EntitySpan>>(
-            std::move(predictions[j]));
-        result_cache_.Put(keys[i], shared);
-        responses[i].status = ServeStatus::kOk;
-        responses[i].spans = *shared;
-        responses[i].snapshot_version = snapshot->version();
-        responses[i].doc_id = batch[i].request.doc.id();
-      }
-    }
-
-    double end_ms = NowMs();
-    for (size_t i = 0; i < batch.size(); ++i) {
-      responses[i].latency_ms = end_ms - batch[i].request.submit_ms;
-      obs::HistogramObserve("fieldswap.serve.tenant.latency_ms",
-                            responses[i].latency_ms);
+      responses.push_back(std::move(response));
     }
   }
 
@@ -319,8 +292,130 @@ void MultiTenantServer::RunBatchLocked(
   cv_.notify_all();
 }
 
+std::vector<ExtractResponse> MultiTenantServer::RunBatch(
+    const std::vector<BatchEntry>& batch, const ModelSnapshot& snapshot,
+    int64_t batches_before) {
+  const FrontEnd& names = front_end_;
+  FS_TRACE_SPAN(names.batch_span);
+  obs::CounterAdd(names.batches);
+  const int64_t packed = std::count_if(
+      batch.begin(), batch.end(), [](const BatchEntry& e) { return e.packed; });
+  if (packed > 0) obs::CounterAdd(names.packed_docs, packed);
+  obs::HistogramObserve(names.batch_size, static_cast<double>(batch.size()),
+                        BatchSizeBounds());
+  const double now = NowMs();
+  if (names.single_tenant) {
+    for (const BatchEntry& entry : batch) {
+      obs::HistogramObserve(names.queue_wait_ms, now - entry.request.submit_ms);
+    }
+  }
+
+  // Triage in batch order: expired deadlines reject, result-cache hits
+  // complete immediately, the rest go to the model. Serial cache traffic
+  // keeps hit accounting and LRU order deterministic for a fixed
+  // submission order.
+  std::vector<ExtractResponse> responses(batch.size());
+  std::vector<size_t> live;
+  std::vector<uint64_t> keys(batch.size(), 0);
+  int64_t result_hits = 0;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const BatchEntry& entry = batch[i];
+    ExtractResponse& response = responses[i];
+    response.tenant = entry.tenant;
+    response.tenant_version = entry.tenant_version;
+    response.batches_waited = batches_before - entry.request.batches_at_submit;
+    response.snapshot_version = snapshot.version();
+    response.doc_id = entry.request.doc.id();
+    if (entry.request.deadline_at_ms > 0 &&
+        now > entry.request.deadline_at_ms) {
+      response.status = ServeStatus::kRejectedDeadline;
+      response.error =
+          "deadline expired before batching; extend the deadline or reduce "
+          "load";
+      obs::CounterAdd(names.status[static_cast<size_t>(response.status)]);
+      continue;
+    }
+    keys[i] = SnapshotCacheKey(DocContentHash(entry.request.doc),
+                               snapshot.sequence());
+    std::shared_ptr<const std::vector<EntitySpan>> cached =
+        result_cache_.Get(keys[i]);
+    if (cached != nullptr) {
+      response.spans = *cached;
+      response.cache_hit = true;
+      response.encoded_cache_hit = true;
+      ++result_hits;
+      continue;
+    }
+    live.push_back(i);
+  }
+  const int64_t result_misses = static_cast<int64_t>(live.size());
+  if (result_hits > 0) obs::CounterAdd(names.result_cache_hits, result_hits);
+  if (result_misses > 0) {
+    obs::CounterAdd(names.result_cache_misses, result_misses);
+  }
+
+  // Encoded-doc cache: serial lookups, parallel encode of the misses,
+  // serial inserts in batch order.
+  std::vector<std::shared_ptr<const EncodedDoc>> encoded(live.size());
+  std::vector<size_t> to_encode;
+  for (size_t j = 0; j < live.size(); ++j) {
+    encoded[j] = encoded_cache_.Get(keys[live[j]]);
+    if (encoded[j] == nullptr) {
+      to_encode.push_back(j);
+    } else {
+      responses[live[j]].encoded_cache_hit = true;
+    }
+  }
+  const int64_t encoded_misses = static_cast<int64_t>(to_encode.size());
+  if (result_misses > encoded_misses) {
+    obs::CounterAdd(names.encoded_cache_hits, result_misses - encoded_misses);
+  }
+  if (!to_encode.empty()) {
+    obs::CounterAdd(names.encoded_cache_misses, encoded_misses);
+    FS_TRACE_SPAN(names.encode_span);
+    obs::Stopwatch encode_timer;
+    std::vector<std::shared_ptr<const EncodedDoc>> fresh =
+        par::ParallelMap(to_encode.size(), [&](size_t k) {
+          const Document& doc = batch[live[to_encode[k]]].request.doc;
+          return std::make_shared<const EncodedDoc>(
+              snapshot.model().EncodeDoc(doc));
+        });
+    for (size_t k = 0; k < to_encode.size(); ++k) {
+      encoded[to_encode[k]] = fresh[k];
+      encoded_cache_.Put(keys[live[to_encode[k]]], fresh[k]);
+    }
+    obs::HistogramObserve(names.encode_ms, encode_timer.ElapsedMs());
+  }
+
+  if (!live.empty()) {
+    FS_TRACE_SPAN(names.predict_span);
+    obs::Stopwatch predict_timer;
+    std::vector<std::vector<EntitySpan>> predictions =
+        par::ParallelMap(live.size(), [&](size_t j) {
+          return snapshot.PredictEncoded(*encoded[j], options_.int8_inference);
+        });
+    for (size_t j = 0; j < live.size(); ++j) {
+      auto shared = std::make_shared<const std::vector<EntitySpan>>(
+          std::move(predictions[j]));
+      result_cache_.Put(keys[live[j]], shared);
+      responses[live[j]].spans = *shared;
+    }
+    obs::HistogramObserve(names.predict_ms, predict_timer.ElapsedMs());
+  }
+
+  const double end_ms = NowMs();
+  for (size_t i = 0; i < batch.size(); ++i) {
+    responses[i].latency_ms = end_ms - batch[i].request.submit_ms;
+    obs::HistogramObserve(names.latency_ms, responses[i].latency_ms);
+  }
+  return responses;
+}
+
 ExtractResponse MultiTenantServer::Wait(int64_t id) {
   std::unique_lock<util::OrderedMutex> lock(mu_);
+  FS_CHECK(id >= 1 && id < next_id_)
+      << "Wait(" << id << "): this server never issued ticket " << id
+      << " (issued so far: 1.." << next_id_ - 1 << ")";
   for (;;) {
     auto it = done_.find(id);
     if (it != done_.end()) {
@@ -329,6 +424,8 @@ ExtractResponse MultiTenantServer::Wait(int64_t id) {
       return response;
     }
     if (!batch_in_flight_ && total_queued_ > 0) {
+      // Leader: run one batch, then re-check (our request may have been in
+      // it, or still be queued behind others).
       RunBatchLocked(lock);
       continue;
     }
@@ -365,14 +462,14 @@ void MultiTenantServer::Shutdown() {
     while (!state.queue.empty()) {
       PendingRequest request = std::move(state.queue.front());
       state.queue.pop_front();
-      done_[request.id] =
-          Reject(ServeStatus::kRejectedShutdown, name, request.doc,
-                 "multi-tenant server shut down while the request was queued");
+      RejectLocked(request.id, ServeStatus::kRejectedShutdown, name,
+                   request.doc,
+                   "server shut down while the request was queued");
     }
     state.deficit = 0;
   }
   total_queued_ = 0;
-  obs::GaugeSet("fieldswap.serve.tenant.queue_depth", 0);
+  obs::GaugeSet(front_end_.queue_depth, 0);
   cv_.notify_all();
 }
 

@@ -42,11 +42,22 @@ struct TenantStats {
   int64_t max_batches_waited = 0;
 };
 
-/// Multi-tenant front end over a ModelRegistry (ISSUE 8 tentpole): one
-/// admission queue per tenant, per-tenant quotas, and deficit-round-robin
-/// batch scheduling, layered on the same leader/follower batching as
-/// ExtractionServer (no dedicated threads; the first waiter that finds
-/// work leads a batch).
+/// The serving engine: one admission queue per tenant of a ModelRegistry,
+/// per-tenant quotas, deficit-round-robin batch scheduling, and the one
+/// batch body (deadline triage, result cache, encoded cache, parallel
+/// encode, parallel predict). Constructed directly it is the multi-tenant
+/// front end; ExtractionServer (serve/server.h) is the single-tenant front
+/// end over a private one-tenant registry. The front ends differ only in
+/// their metric-name family (`fieldswap.serve.tenant.` here,
+/// `fieldswap.serve.` there), trace span names, and how a full tenant
+/// queue is reported (kRejectedQuota here, kRejectedQueueFull there).
+///
+/// Batching is leader/follower, with no dedicated threads (creating raw
+/// threads outside src/par is banned): the first waiter that finds work
+/// and no batch in flight becomes the leader, forms one batch, and runs it
+/// on the shared par pool; other waiters block until their response is
+/// published. A batch that throws answers each of its requests with
+/// kInternalError and the server keeps serving.
 ///
 /// Scheduling: tenants take turns in sorted-name order. At a tenant's
 /// turn its deficit grows by its quantum (registry quota) and the batch
@@ -66,10 +77,11 @@ struct TenantStats {
 /// *which batch* serves a document, never the response bytes, so each
 /// tenant's response stream is bit-identical to a single-tenant
 /// ExtractionServer over the same snapshot at any FIELDSWAP_THREADS,
-/// batch size, or tenant interleaving (tests/serve_test.cc). Caches are
-/// keyed by (content hash, snapshot sequence), so tenants sharing a
-/// backbone snapshot share cache entries — cross-tenant dedup — while
-/// distinct snapshots can never collide.
+/// batch size, or tenant interleaving (tests/serve_test.cc);
+/// batches_waited, by contrast, depends on the submission order only.
+/// Caches are keyed by (content hash, snapshot sequence), so tenants
+/// sharing a backbone snapshot share cache entries — cross-tenant dedup —
+/// while distinct snapshots can never collide.
 ///
 /// Hot swap: the registry is consulted at every batch formation, so
 /// Publish/Rollback for one tenant lands atomically between batches and
@@ -89,7 +101,8 @@ class MultiTenantServer {
                  double deadline_ms = -1) FS_EXCLUDES(mu_);
 
   /// Blocks until the response is available (each ticket claimable once).
-  /// Waiters collectively drive the batcher, as in ExtractionServer.
+  /// Waiters collectively drive the batcher; see the class comment.
+  /// FS_CHECK-fails on a ticket this server never issued.
   ExtractResponse Wait(int64_t id) FS_EXCLUDES(mu_);
 
   /// Submit + Wait for one document.
@@ -118,7 +131,40 @@ class MultiTenantServer {
   const std::shared_ptr<ModelRegistry>& registry() const { return registry_; }
   const ServeOptions& options() const { return options_; }
 
+  const EncodedDocCache& encoded_cache() const { return encoded_cache_; }
+  const LruCache<std::vector<EntitySpan>>& result_cache() const {
+    return result_cache_;
+  }
+
  private:
+  friend class ExtractionServer;
+
+  /// What sets the two front ends apart, fixed at construction. Metric
+  /// names are built here once, not per request.
+  struct FrontEnd {
+    explicit FrontEnd(bool single_tenant);
+
+    /// ExtractionServer: a full queue is kRejectedQueueFull naming
+    /// ServeOptions.queue_capacity, and the per-request stage histograms
+    /// (admission_ms, queue_wait_ms) are recorded. The multi-tenant front
+    /// end skips those two: its latency target is the result-cache hit,
+    /// where each metric call is a measurable share of the request.
+    bool single_tenant;
+    const char* batch_span;
+    const char* encode_span;
+    const char* predict_span;
+    std::string requests, queue_depth, batches, batch_size, packed_docs,
+        result_cache_hits, result_cache_misses, encoded_cache_hits,
+        encoded_cache_misses, admission_ms, queue_wait_ms, encode_ms,
+        predict_ms, latency_ms;
+    /// Counter per ServeStatus, indexed by its value.
+    std::vector<std::string> status;
+  };
+
+  /// The single-tenant front end's constructor (serve/server.h).
+  MultiTenantServer(std::shared_ptr<ModelRegistry> registry,
+                    ServeOptions options, bool single_tenant);
+
   struct PendingRequest {
     int64_t id = 0;
     Document doc;
@@ -144,13 +190,23 @@ class MultiTenantServer {
   double NowMs() const;
   ExtractResponse Reject(ServeStatus status, const std::string& tenant,
                          const Document& doc, std::string error) const;
+  /// Completes ticket `id` with a rejection that names the tenant's active
+  /// snapshot; returns `id`.
+  int64_t RejectLocked(int64_t id, ServeStatus status,
+                       const std::string& tenant, const Document& doc,
+                       std::string error) FS_REQUIRES(mu_);
   /// Leader path: forms one DRR batch, runs it, publishes responses.
   /// Expects `lock` held; releases it around model work.
   void RunBatchLocked(std::unique_lock<util::OrderedMutex>& lock)
       FS_REQUIRES(mu_);
+  /// The batch body, run without the lock. May throw.
+  std::vector<ExtractResponse> RunBatch(const std::vector<BatchEntry>& batch,
+                                        const ModelSnapshot& snapshot,
+                                        int64_t batches_before);
 
   std::shared_ptr<ModelRegistry> registry_;
   ServeOptions options_;
+  const FrontEnd front_end_;
   obs::Stopwatch uptime_;
 
   mutable util::OrderedMutex mu_{"MultiTenantServer::mu_"};

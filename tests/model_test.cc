@@ -6,6 +6,7 @@
 #include "model/features.h"
 #include "model/sequence_model.h"
 #include "model/trainer.h"
+#include "nn/serialize.h"
 #include "ocr/line_detector.h"
 #include "synth/domains.h"
 #include "synth/generator.h"
@@ -226,6 +227,26 @@ TEST(CandidateModelTest, PretrainReducesLoss) {
   double later = model.Pretrain(corpus, invoices.Schema(), more);
   EXPECT_LT(later, first);
   EXPECT_LT(later, 0.45) << "should beat the ~0.64 chance-level BCE";
+}
+
+// The tracked pre-trained copy must load into today's model, or every
+// bench started from the repository root silently pre-trains for most of a
+// minute and overwrites it. Built as GetOrTrainCachedCandidateModel builds
+// it: seed 99, the invoice fields.
+TEST(CandidateModelTest, TrackedCheckpointLoads) {
+  CandidateModelConfig config;
+  config.seed = 99;
+  std::vector<std::string> fields;
+  for (const FieldDef& def : InvoicesSpec().fields) {
+    fields.push_back(def.spec.name);
+  }
+  CandidateScoringModel model(config, fields);
+  const std::string path =
+      std::string(FIELDSWAP_REPO_ROOT) + "/data/fieldswap_candidate_model.ckpt";
+  EXPECT_TRUE(LoadCheckpoint(path, model.Params()))
+      << path << " does not match CandidateScoringModel; regenerate it by "
+      << "deleting it and running any automatic-FieldSwap bench from the "
+      << "repository root";
 }
 
 // ---- Sequence model -------------------------------------------------------

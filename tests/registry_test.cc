@@ -90,6 +90,21 @@ TEST(ModelRegistryTest, RollbackIsAtomicAppendOnlyAndNumberingContinues) {
   EXPECT_EQ(registry.ActiveVersion("t"), 4u) << "failed rollback is a no-op";
 }
 
+TEST(ModelRegistryTest, ReplaceDropsTheLineageAndNumberingContinues) {
+  ModelRegistry registry;
+  std::shared_ptr<const ModelSnapshot> first = MakeSnapshot(TestModel(1), "v1");
+  std::weak_ptr<const ModelSnapshot> retired = first;
+  registry.Publish("t", std::move(first));
+  EXPECT_EQ(registry.Replace("t", MakeSnapshot(TestModel(2), "v2")), 2u);
+  EXPECT_TRUE(retired.expired()) << "Replace must not keep v1 alive";
+  ASSERT_EQ(registry.Lineage("t").size(), 1u);
+  EXPECT_EQ(registry.ActiveVersion("t"), 2u);
+  EXPECT_EQ(registry.Active("t")->version(), "v2");
+  EXPECT_FALSE(registry.Rollback("t", 1));
+  EXPECT_EQ(registry.Replace("fresh", MakeSnapshot(TestModel(3))), 1u);
+  EXPECT_TRUE(registry.Has("fresh"));
+}
+
 TEST(ModelRegistryTest, QuotaDefaultsAndOverrides) {
   ModelRegistry registry;
   EXPECT_EQ(registry.Quota("t").queue_capacity, 64);

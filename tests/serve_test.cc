@@ -7,8 +7,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -16,6 +18,7 @@
 
 #include "doc/document.h"
 #include "model/sequence_model.h"
+#include "obs/metrics.h"
 #include "par/parallel.h"
 #include "serve/cache.h"
 #include "serve/registry.h"
@@ -340,6 +343,195 @@ TEST(ExtractionServerTest, HotSwapUnderConcurrentRequestsStaysConsistent) {
   EXPECT_EQ(served.load(), 80);
   EXPECT_EQ(server.snapshot()->version(), "b");
   par::SetThreads(prior_threads);
+}
+
+// SwapSnapshot must not keep the retired snapshot alive: once its last
+// batch is done, the caller's weak reference is the only one left.
+TEST(ExtractionServerTest, SwapSnapshotReleasesTheRetiredSnapshot) {
+  std::vector<Document> corpus = TestCorpus(1);
+  std::shared_ptr<const ModelSnapshot> first = MakeSnapshot(TestModel(5), "a");
+  std::weak_ptr<const ModelSnapshot> retired = first;
+  ExtractionServer server(std::move(first));
+  EXPECT_EQ(server.Extract(corpus[0]).status, ServeStatus::kOk);
+
+  server.SwapSnapshot(MakeSnapshot(TestModel(1234), "b"));
+  EXPECT_TRUE(retired.expired())
+      << "the server still holds the snapshot it swapped out";
+  EXPECT_EQ(server.snapshot()->version(), "b");
+  EXPECT_EQ(server.Extract(corpus[0]).snapshot_version, "b");
+}
+
+// ---- Failure and misuse -----------------------------------------------------
+
+/// A clock that throws on its first call once armed, then works again. The
+/// servers read the clock at admission and inside each batch, so arming it
+/// after the submits makes exactly the next batch throw.
+std::function<double()> ThrowOnceClock(bool& armed) {
+  return [&armed] {
+    if (armed) {
+      armed = false;
+      throw std::runtime_error("clock unavailable");
+    }
+    return 0.0;
+  };
+}
+
+TEST(ExtractionServerTest, ThrowingBatchAnswersEachTicketOnceAndKeepsServing) {
+  std::vector<Document> corpus = TestCorpus(3);
+  bool armed = false;
+  ServeOptions options;
+  options.max_batch = 2;
+  options.clock_ms = ThrowOnceClock(armed);
+  ExtractionServer server(MakeSnapshot(TestModel()), options);
+  const int64_t errors_before =
+      obs::GlobalMetrics().CounterValue("fieldswap.serve.internal_error");
+
+  std::vector<int64_t> ids;
+  for (const Document& doc : corpus) ids.push_back(server.Submit(doc));
+  armed = true;
+  // The first batch holds the first two documents and throws.
+  for (int k = 0; k < 2; ++k) {
+    ExtractResponse failed = server.Wait(ids[k]);
+    EXPECT_EQ(failed.status, ServeStatus::kInternalError);
+    EXPECT_NE(failed.error.find("clock unavailable"), std::string::npos)
+        << failed.error;
+    EXPECT_EQ(failed.doc_id, corpus[k].id());
+    EXPECT_TRUE(failed.spans.empty());
+  }
+  EXPECT_EQ(
+      obs::GlobalMetrics().CounterValue("fieldswap.serve.internal_error") -
+          errors_before,
+      2);
+  // The third was queued behind it and is served by the next leader.
+  EXPECT_EQ(server.Wait(ids[2]).status, ServeStatus::kOk);
+  EXPECT_EQ(server.queue_depth(), 0);
+  EXPECT_EQ(server.Extract(corpus[0]).status, ServeStatus::kOk);
+}
+
+TEST(MultiTenantServerTest, ThrowingBatchAnswersEachTicketOnceAndKeepsServing) {
+  auto registry = std::make_shared<ModelRegistry>();
+  std::shared_ptr<const ModelSnapshot> shared = MakeSnapshot(TestModel());
+  registry->Publish("a", shared);
+  registry->Publish("b", shared);
+  std::vector<Document> corpus = TestCorpus(3);
+  bool armed = false;
+  ServeOptions options;
+  options.clock_ms = ThrowOnceClock(armed);
+  MultiTenantServer server(registry, options);
+  const int64_t errors_before = obs::GlobalMetrics().CounterValue(
+      "fieldswap.serve.tenant.internal_error");
+
+  // One batch: tenant a's turn, with b's request packed alongside.
+  const std::vector<std::string> tenants = {"a", "b", "a"};
+  std::vector<int64_t> ids;
+  for (size_t k = 0; k < corpus.size(); ++k) {
+    ids.push_back(server.Submit(tenants[k], corpus[k]));
+  }
+  armed = true;
+  for (size_t k = 0; k < corpus.size(); ++k) {
+    ExtractResponse failed = server.Wait(ids[k]);
+    EXPECT_EQ(failed.status, ServeStatus::kInternalError);
+    EXPECT_NE(failed.error.find("clock unavailable"), std::string::npos)
+        << failed.error;
+    EXPECT_EQ(failed.tenant, tenants[k]);
+    EXPECT_EQ(failed.tenant_version, 1u);
+  }
+  EXPECT_EQ(obs::GlobalMetrics().CounterValue(
+                "fieldswap.serve.tenant.internal_error") -
+                errors_before,
+            3);
+  EXPECT_EQ(server.stats("a").served, 0);
+  EXPECT_EQ(server.Extract("b", corpus[1]).status, ServeStatus::kOk);
+  EXPECT_EQ(server.Extract("a", corpus[0]).status, ServeStatus::kOk);
+}
+
+TEST(ServeDeathTest, WaitOnNeverIssuedTicketDies) {
+  std::vector<Document> corpus = TestCorpus(1);
+  std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(TestModel());
+  ExtractionServer server(snapshot);
+  const int64_t issued = server.Submit(corpus[0]);
+  EXPECT_DEATH(server.Wait(0), "never issued ticket 0");
+  EXPECT_DEATH(server.Wait(issued + 1), "never issued ticket 2");
+  EXPECT_EQ(server.Wait(issued).status, ServeStatus::kOk);
+
+  auto registry = std::make_shared<ModelRegistry>();
+  registry->Publish("t", snapshot);
+  MultiTenantServer tenants(registry);
+  EXPECT_DEATH(tenants.Wait(-3), "never issued ticket -3");
+  EXPECT_DEATH(tenants.Wait(1), "never issued ticket 1");
+}
+
+TEST(ServeDeathTest, Int8PlanChecksFireAtConstructionAndSwap) {
+  SequenceLabelingModel model = TestModel();
+  ServeOptions options;
+  options.int8_inference = true;
+  EXPECT_DEATH(
+      { ExtractionServer server(MakeSnapshot(model, "plain"), options); },
+      "snapshot 'plain' has no int8 plan");
+  ExtractionServer server(MakeSnapshot(model, "quantized", true), options);
+  EXPECT_DEATH(server.SwapSnapshot(MakeSnapshot(model, "plain")),
+               "swapped-in snapshot 'plain' has no int8 plan");
+}
+
+// Each front end emits its own metric family, and the stage histograms
+// and encoded-cache counters come from the one batch body.
+TEST(ServeMetricsTest, EachFrontEndEmitsItsOwnFamily) {
+  obs::MetricsRegistry& metrics = obs::GlobalMetrics();
+  auto histogram_count = [&metrics](const std::string& name) -> int64_t {
+    obs::MetricsSnapshot snapshot = metrics.Snapshot();
+    auto it = snapshot.histograms.find(name);
+    return it == snapshot.histograms.end() ? 0 : it->second.count;
+  };
+  const std::vector<std::string> counters = {
+      "requests", "batches", "result_cache_hits", "result_cache_misses",
+      "encoded_cache_misses"};
+  const std::vector<std::string> histograms = {
+      "batch_size", "latency_ms", "stage.admission_ms", "stage.queue_wait_ms",
+      "stage.encode_ms", "stage.predict_ms"};
+  auto read = [&](const std::string& prefix) {
+    std::vector<int64_t> values;
+    for (const std::string& name : counters) {
+      values.push_back(metrics.CounterValue(prefix + name));
+    }
+    for (const std::string& name : histograms) {
+      values.push_back(histogram_count(prefix + name));
+    }
+    return values;
+  };
+  auto delta = [](const std::vector<int64_t>& after,
+                  const std::vector<int64_t>& before) {
+    std::vector<int64_t> out;
+    for (size_t i = 0; i < after.size(); ++i) {
+      out.push_back(after[i] - before[i]);
+    }
+    return out;
+  };
+  std::vector<Document> corpus = TestCorpus(1);
+  std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(TestModel());
+  const std::string single = "fieldswap.serve.";
+  const std::string tenant = "fieldswap.serve.tenant.";
+
+  // A miss, then a hit.
+  std::vector<int64_t> single_before = read(single);
+  std::vector<int64_t> tenant_before = read(tenant);
+  ExtractionServer server(snapshot);
+  server.Extract(corpus[0]);
+  server.Extract(corpus[0]);
+  EXPECT_EQ(delta(read(single), single_before),
+            (std::vector<int64_t>{2, 2, 1, 1, 1, 2, 2, 2, 2, 1, 1}));
+  EXPECT_EQ(read(tenant), tenant_before);
+
+  auto registry = std::make_shared<ModelRegistry>();
+  registry->Publish("t", snapshot);
+  MultiTenantServer tenants(registry);
+  single_before = read(single);
+  tenant_before = read(tenant);
+  tenants.Extract("t", corpus[0]);
+  tenants.Extract("t", corpus[0]);
+  // No per-request stage histograms on the multi-tenant front end.
+  EXPECT_EQ(delta(read(tenant), tenant_before),
+            (std::vector<int64_t>{2, 2, 1, 1, 1, 2, 2, 0, 0, 1, 1}));
+  EXPECT_EQ(read(single), single_before);
 }
 
 // ---- Multi-tenant serving (ISSUE 8) ---------------------------------------

@@ -180,6 +180,22 @@ TEST(HashTest, Fnv1aKnownValue) {
   EXPECT_EQ(Fnv1a64(""), 0xcbf29ce484222325ULL);
 }
 
+TEST(HashTest, Fnv1aChunkedEqualsOnePass) {
+  // The corpus and flat snapshot formats checksum their bodies chunk by
+  // chunk; every split must give the one-pass hash.
+  const std::string text = "Pay Date: 2026-08-05  Base Salary $3,308.62";
+  const uint64_t whole = Fnv1a64(text);
+  EXPECT_EQ(Fnv1a64(text.data(), text.size()), whole);
+  for (size_t cut = 0; cut <= text.size(); ++cut) {
+    uint64_t hash = Fnv1a64(text.data(), cut);
+    hash = Fnv1a64(text.data() + cut, text.size() - cut, hash);
+    EXPECT_EQ(hash, whole) << "cut at " << cut;
+  }
+  uint64_t bytewise = kFnv1a64Basis;
+  for (char c : text) bytewise = Fnv1a64(&c, 1, bytewise);
+  EXPECT_EQ(bytewise, whole);
+}
+
 TEST(HashTest, DifferentStringsDifferentHashes) {
   EXPECT_NE(Fnv1a64("Base Salary"), Fnv1a64("Base Salarz"));
   EXPECT_NE(Fnv1a64("a"), Fnv1a64("b"));

@@ -229,7 +229,7 @@ int main(int argc, char** argv) {
                "response stream)",
                &stats);
   args.AddString("kernel-backend", "",
-                 "compute kernel backend (scalar, avx2, neon; empty/'auto' "
+                 "compute kernel backend (scalar, avx2; empty/'auto' "
                  "picks the best available, same as FIELDSWAP_KERNEL_BACKEND)",
                  &kernel_backend);
   args.AddBool("list-kernel-backends",
